@@ -21,7 +21,8 @@ back into the functional simulator, so its speedup sits between the
 pure-replay functional rows and 1.0x.
 
 Writes ``bench_results/cbackend.txt`` (human table) and
-``bench_results/BENCH_7.json`` (machine-readable trajectory record).
+``bench_results/BENCH_7.json`` (machine-readable trajectory record);
+``--quick`` writes them to a scratch directory instead and prints it.
 
 Run directly (not via pytest)::
 
@@ -43,7 +44,7 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.reporting import render_generic
+from repro.bench.reporting import render_generic, results_dir
 from repro.facile.cbackend import load_kernel
 from repro.isa.simulate import run_facile_functional
 from repro.ooo.facile_inorder import run_facile_inorder
@@ -230,9 +231,9 @@ def main(argv=None) -> int:
             for r in rows
         ],
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "cbackend.txt").write_text(table + "\n")
-    (RESULTS_DIR / "BENCH_7.json").write_text(json.dumps(
+    out = results_dir(RESULTS_DIR, args.quick)
+    (out / "cbackend.txt").write_text(table + "\n")
+    (out / "BENCH_7.json").write_text(json.dumps(
         {
             "bench": "cbackend",
             "issue": 7,
@@ -251,6 +252,7 @@ def main(argv=None) -> int:
         indent=2,
     ) + "\n")
     print(table)
+    print(f"results written to {out}")
 
     if failures:
         for f in failures:

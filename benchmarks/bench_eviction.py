@@ -15,6 +15,9 @@ asserts the contract from the issue: identical simulated cycles across
 all three runs, strictly fewer re-recorded steps and no full clears
 under generational eviction, and leak-free byte accounting.
 
+Writes ``bench_results/eviction.txt``; ``--smoke`` writes it to a scratch
+directory instead and prints it.
+
 Run directly (not via pytest)::
 
     python benchmarks/bench_eviction.py          # full run
@@ -34,7 +37,7 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.reporting import render_generic
+from repro.bench.reporting import render_generic, results_dir
 from repro.ooo.facile_ooo import FacileOooSim
 from repro.workloads.suite import build_cached
 
@@ -140,9 +143,10 @@ def main(argv=None) -> int:
             for r in rows
         ],
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "eviction.txt").write_text(table + "\n")
+    out = results_dir(RESULTS_DIR, args.smoke)
+    (out / "eviction.txt").write_text(table + "\n")
     print(table)
+    print(f"results written to {out}")
 
     base, clear, gen = rows
     failures = []

@@ -23,6 +23,9 @@ ablations: their step bodies are dominated by the action/event work
 itself (dozens of events per cycle), so packing is a footprint win
 there rather than a rate win.
 
+Writes ``bench_results/flatpack.txt``; ``--quick`` writes it to a scratch
+directory instead and prints it.
+
 Run directly (not via pytest)::
 
     python benchmarks/bench_flatpack.py          # full run
@@ -42,7 +45,7 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.reporting import render_generic
+from repro.bench.reporting import render_generic, results_dir
 from repro.facile.runtime import FastForwardEngine
 from repro.isa.simulate import _prepare_context, compiled_functional_sim
 from repro.ooo.facile_ooo import FacileOooSim
@@ -264,9 +267,10 @@ def main(argv=None) -> int:
             for r in rows
         ],
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "flatpack.txt").write_text(table + "\n")
+    out = results_dir(RESULTS_DIR, args.quick)
+    (out / "flatpack.txt").write_text(table + "\n")
     print(table)
+    print(f"results written to {out}")
 
     if failures:
         for f in failures:

@@ -15,7 +15,8 @@ doubling as the baseline wall clock.  Three claims are checked:
   amortize worker startup).
 
 Writes ``bench_results/fleet.txt`` (human table) and
-``bench_results/BENCH_8.json`` (machine-readable per-cell record).
+``bench_results/BENCH_8.json`` (machine-readable per-cell record);
+``--quick`` writes them to a scratch directory instead and prints it.
 
 Run directly (not via pytest)::
 
@@ -35,6 +36,7 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.bench.reporting import results_dir
 from repro.serve.fleet import run_fleet
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench_results"
@@ -90,13 +92,13 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     text = report.render_text()
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "fleet.txt").write_text(text + "\n")
+    out = results_dir(RESULTS_DIR, args.quick)
+    (out / "fleet.txt").write_text(text + "\n")
     report_path = report.write(
-        args.report if args.report else RESULTS_DIR / "BENCH_8.json"
+        args.report if args.report else out / "BENCH_8.json"
     )
     print(text)
-    print(f"\nreport written to {report_path}")
+    print(f"\nresults written to {out}; report written to {report_path}")
 
     if failures:
         for f in failures:

@@ -24,7 +24,8 @@ Protocol per (workload × simulator): one untimed python-backend run
 saves a snapshot; best-of-``repeat`` warm runs per backend load it.
 
 Writes ``bench_results/native_externs.txt`` and
-``bench_results/BENCH_9.json``.
+``bench_results/BENCH_9.json``; ``--quick`` writes them to a scratch
+directory instead and prints it.
 
 Run directly (not via pytest)::
 
@@ -47,7 +48,7 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.reporting import render_generic
+from repro.bench.reporting import render_generic, results_dir
 from repro.facile.cbackend import load_kernel
 from repro.facile.snapshot import engine_fingerprint, warm_start
 from repro.ooo.facile_inorder import FacileInOrderSim
@@ -260,9 +261,9 @@ def main(argv=None) -> int:
             for r in rows
         ],
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "native_externs.txt").write_text(table + "\n")
-    (RESULTS_DIR / "BENCH_9.json").write_text(json.dumps(
+    out = results_dir(RESULTS_DIR, args.quick)
+    (out / "native_externs.txt").write_text(table + "\n")
+    (out / "BENCH_9.json").write_text(json.dumps(
         {
             "bench": "native_externs",
             "issue": 9,
@@ -279,6 +280,7 @@ def main(argv=None) -> int:
         indent=2,
     ) + "\n")
     print(table)
+    print(f"results written to {out}")
 
     if failures:
         for f in failures:

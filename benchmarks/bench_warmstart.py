@@ -20,7 +20,8 @@ parity checks rather than speedup gates.
 
 Writes ``bench_results/warmstart.txt`` (human table) and
 ``bench_results/BENCH_6.json`` (machine-readable per-benchmark
-cold/warm ksps, cycles, and cache bytes).
+cold/warm ksps, cycles, and cache bytes); ``--quick`` writes them to
+a scratch directory instead and prints it.
 
 Run directly (not via pytest)::
 
@@ -42,7 +43,7 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.reporting import render_generic
+from repro.bench.reporting import render_generic, results_dir
 from repro.isa.simulate import run_facile_functional
 from repro.ooo.facile_ooo import run_facile_ooo
 from repro.ooo.fastsim import run_fastsim
@@ -222,9 +223,9 @@ def main(argv=None) -> int:
             for r in rows
         ],
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "warmstart.txt").write_text(table + "\n")
-    (RESULTS_DIR / "BENCH_6.json").write_text(json.dumps(
+    out = results_dir(RESULTS_DIR, args.quick)
+    (out / "warmstart.txt").write_text(table + "\n")
+    (out / "BENCH_6.json").write_text(json.dumps(
         {
             "bench": "warmstart",
             "issue": 6,
@@ -236,6 +237,7 @@ def main(argv=None) -> int:
         indent=2,
     ) + "\n")
     print(table)
+    print(f"results written to {out}")
 
     if failures:
         for f in failures:

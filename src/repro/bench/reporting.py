@@ -7,7 +7,22 @@ tables directly comparable to the originals.
 
 from __future__ import annotations
 
+import pathlib
+import tempfile
+
 from .harness import Measurement, harmonic_mean_coverage
+
+
+def results_dir(committed: pathlib.Path, quick: bool) -> pathlib.Path:
+    """Where a benchmark script writes its results: ``committed`` (the
+    repository's ``bench_results/``) for full runs, and a scratch
+    directory under the system temp dir for ``--quick``/``--smoke`` runs,
+    whose small, unrepeated numbers must never replace the committed
+    record."""
+    out = (pathlib.Path(tempfile.gettempdir()) / "repro-bench-quick"
+           if quick else committed)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _by(measurements: list[Measurement]) -> dict[tuple[str, str], Measurement]:

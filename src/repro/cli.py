@@ -245,7 +245,9 @@ def _report_run(kind: str, result, elapsed: float) -> None:
             print(f"snapshot: miss ({load.reason}) — cold start")
     save = getattr(holder, "snapshot_save", None)
     if save is not None:
-        if save.hit:
+        if save.reason == "unchanged":
+            print("snapshot: unchanged — not rewritten")
+        elif save.hit:
             print(f"snapshot: saved {save.entries:,} entries "
                   f"({save.file_bytes:,} bytes) to {save.path}")
         else:

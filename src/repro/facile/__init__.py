@@ -4,7 +4,8 @@ This package reproduces the PLDI 2001 paper's primary contribution.  The
 public surface:
 
 * :func:`compile_source` — compile Facile source into a two-engine
-  fast-forwarding simulator;
+  fast-forwarding simulator (:func:`compile_cached`: the same through
+  the on-disk compiled-simulator cache);
 * :class:`FastForwardEngine` — memoized driver (fast replay + slow
   recording with miss recovery);
 * :class:`PlainEngine` — conventional, non-memoized driver;
@@ -13,20 +14,6 @@ public surface:
 * :class:`ActionCache` — the specialized action cache.
 """
 
-from .analysis import CheckReport, check_file, run_check
-from .compiler import CompilationResult, compile_source
-from .diagnostics import Diagnostic, DiagnosticError, DiagnosticSink
-from .inspect import (
-    cache_summary,
-    dump_entry,
-    explain_check,
-    explain_division,
-    hot_actions,
-    trace_summary,
-    why_dynamic,
-)
-from .tracecomp import Trace, TraceManager
-from .pprint import format_expr, format_program, format_stmt
 from .runtime import (
     ActionCache,
     CompiledSimulator,
@@ -36,17 +23,44 @@ from .runtime import (
     SimContext,
     SimulationError,
 )
-from .snapshot import (
-    SnapshotError,
-    SnapshotInfo,
-    engine_fingerprint,
-    fastsim_fingerprint,
-    program_fingerprint,
-    simulator_fingerprint,
-    store_path,
-    warm_start,
-)
 from .source import FacileError, LexError, ParseError, SemanticError
+
+# Everything else loads on first use (PEP 562), so a process that only
+# runs an already-compiled simulator never imports the compiler front
+# end or the static analyzer.
+_LAZY = {
+    "analysis": ("CheckReport", "check_file", "run_check"),
+    "compiler": ("CompilationResult", "compile_cached", "compile_source"),
+    "diagnostics": ("Diagnostic", "DiagnosticError", "DiagnosticSink"),
+    "inspect": (
+        "cache_summary", "dump_entry", "explain_check", "explain_division",
+        "hot_actions", "trace_summary", "why_dynamic",
+    ),
+    "tracecomp": ("Trace", "TraceManager"),
+    "pprint": ("format_expr", "format_program", "format_stmt"),
+    "snapshot": (
+        "SnapshotError", "SnapshotInfo", "engine_fingerprint",
+        "fastsim_fingerprint", "program_fingerprint", "simulator_fingerprint",
+        "store_path", "warm_start",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_NAMES))
+
 
 __all__ = [
     "ActionCache",
@@ -79,6 +93,7 @@ __all__ = [
     "SimulationError",
     "SnapshotError",
     "SnapshotInfo",
+    "compile_cached",
     "compile_source",
     "engine_fingerprint",
     "fastsim_fingerprint",

@@ -24,6 +24,7 @@ Binding-time classes:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -224,6 +225,26 @@ def udiv32(a: int, b: int) -> int:
 def umul32(a: int, b: int) -> int:
     """Unsigned 32-bit multiplication (low word)."""
     return ((a & _U32) * (b & _U32)) & _U32
+
+
+def idiv(a: int, b: int) -> int:
+    """C-style truncating integer division."""
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def imod(a: int, b: int) -> int:
+    """C-style remainder: sign follows the dividend."""
+    return a - idiv(a, b) * b
+
+
+def copy_val(value):
+    """Copy a mutable container value (queue or array) on assignment."""
+    if isinstance(value, deque):
+        return deque(value)
+    if isinstance(value, list):
+        return list(value)
+    return value
 
 
 def cc_branch_taken(cond: int, cc: int) -> bool:

@@ -9,22 +9,25 @@
 and returns a :class:`~repro.facile.runtime.CompiledSimulator` ready to
 drive with :class:`~repro.facile.runtime.FastForwardEngine` (memoized)
 or :class:`~repro.facile.runtime.PlainEngine` (conventional).
+
+``compile_cached`` is the same compile through the on-disk
+compiled-simulator cache (:mod:`repro.facile.simcache`); the shipped
+simulators load through it.  The front-end modules are imported only
+when something is actually compiled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
-from .bta import Division, analyze_binding_times, insert_dynamic_result_tests
-from .codegen import CodeGenerator
-from .diagnostics import Diagnostic, DiagnosticSink
-from .inline import FlatMain, flatten_program
-from .optimize import fold_constants
-from .parser import parse
 from .runtime import CompiledSimulator
-from .sema import ProgramInfo, analyze
-from .snapshot import simulator_fingerprint
-from .source import SourceBuffer
+
+if TYPE_CHECKING:
+    from .bta import Division
+    from .diagnostics import Diagnostic, DiagnosticSink
+    from .inline import FlatMain
+    from .sema import ProgramInfo
 
 
 @dataclass
@@ -33,14 +36,67 @@ class CompilationResult:
     inspection by tests, benchmarks, and the curious."""
 
     simulator: CompiledSimulator
-    info: ProgramInfo
-    flat: FlatMain
-    division: Division
     n_dynamic_result_tests: int
     n_constant_folds: int = 0
     #: Warnings/infos from the static-analysis passes; populated only
     #: when ``compile_source(..., check=True)``.
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    #: ``(info, flat, division)``, or a function computing them: a
+    #: result loaded from the compiled-simulator cache reruns the front
+    #: end only when one of them is first asked for.
+    front_end: Any = field(default=None, repr=False)
+
+    def _front(self) -> tuple:
+        if callable(self.front_end):
+            self.front_end = self.front_end()
+        return self.front_end
+
+    @property
+    def info(self) -> ProgramInfo:
+        return self._front()[0]
+
+    @property
+    def flat(self) -> FlatMain:
+        return self._front()[1]
+
+    @property
+    def division(self) -> Division:
+        return self._front()[2]
+
+
+def _run_front_end(
+    source: str, filename: str, fold: bool, sink: DiagnosticSink | None = None
+) -> tuple:
+    """Parse through dynamic-result-test insertion; with a ``sink`` the
+    static-analysis passes run between the stages.  Returns ``(info,
+    flat, division, n_dynamic_result_tests, n_constant_folds)``."""
+    from .bta import analyze_binding_times, insert_dynamic_result_tests
+    from .inline import flatten_program
+    from .optimize import fold_constants
+    from .parser import parse
+    from .sema import analyze
+
+    program = parse(source, filename)
+    info = analyze(program, sink=sink)
+    if sink is not None:
+        from .analysis import AnalysisContext, run_passes
+
+        sink.checkpoint()
+        ctx = AnalysisContext(info, sink.buffer)
+        run_passes("ast", ctx, sink)
+    flat = flatten_program(info)
+    n_folds = fold_constants(flat) if fold else 0
+    division = analyze_binding_times(flat, sink)
+    if sink is not None:
+        ctx.flat, ctx.division = flat, division
+        run_passes("bta", ctx, sink)
+        sink.checkpoint()
+    n_tests = insert_dynamic_result_tests(flat, division)
+    if sink is not None:
+        ctx.n_inserted = n_tests
+        run_passes("post", ctx, sink)
+        sink.checkpoint()
+    return info, flat, division, n_tests, n_folds
 
 
 def compile_source(
@@ -67,29 +123,16 @@ def compile_source(
     raise the usual batched ``SemanticError``; warnings and infos land
     in ``CompilationResult.diagnostics``.
     """
-    sink: DiagnosticSink | None = None
-    if check:
-        sink = DiagnosticSink(SourceBuffer(source, filename))
-    program = parse(source, filename)
-    info = analyze(program, sink=sink)
-    if sink is not None:
-        from .analysis import AnalysisContext, run_passes
+    from .codegen import CodeGenerator
 
-        sink.checkpoint()
-        ctx = AnalysisContext(info, sink.buffer)
-        run_passes("ast", ctx, sink)
-    flat = flatten_program(info)
-    n_folds = fold_constants(flat) if fold else 0
-    division = analyze_binding_times(flat, sink)
-    if sink is not None:
-        ctx.flat, ctx.division = flat, division
-        run_passes("bta", ctx, sink)
-        sink.checkpoint()
-    n_tests = insert_dynamic_result_tests(flat, division)
-    if sink is not None:
-        ctx.n_inserted = n_tests
-        run_passes("post", ctx, sink)
-        sink.checkpoint()
+    sink = None
+    if check:
+        from .diagnostics import DiagnosticSink
+        from .source import SourceBuffer
+
+        sink = DiagnosticSink(SourceBuffer(source, filename))
+    info, flat, division, n_tests, n_folds = _run_front_end(
+        source, filename, fold, sink)
     generator = CodeGenerator(
         division,
         name=name,
@@ -97,17 +140,47 @@ def compile_source(
         keep_flushed=keep_flushed,
         coalesce=coalesce,
     )
-    simulator = generator.build(with_plain=with_plain)
-    # Content fingerprint for snapshot addressing: the generated
-    # sources capture action numbering and baked-in machine parameters
-    # exactly, so equal fingerprints guarantee replay compatibility.
-    simulator.fingerprint = simulator_fingerprint(simulator)
     return CompilationResult(
-        simulator=simulator,
-        info=info,
-        flat=flat,
-        division=division,
+        simulator=generator.build(with_plain=with_plain),
         n_dynamic_result_tests=n_tests,
         n_constant_folds=n_folds,
         diagnostics=list(sink.diagnostics) if sink is not None else [],
+        front_end=(info, flat, division),
     )
+
+
+def compile_cached(
+    source: str,
+    name: str = "simulator",
+    filename: str = "<facile>",
+    with_plain: bool = True,
+    flush_policy: str = "all",
+    keep_flushed: tuple[str, ...] = ("init",),
+    coalesce: bool = True,
+    fold: bool = True,
+) -> CompilationResult:
+    """:func:`compile_source` through the on-disk compiled-simulator
+    cache: a hit executes the stored module instead of compiling, and a
+    miss compiles and stores.  The result is the same either way; on a
+    hit ``info``/``flat``/``division`` are recomputed on first access."""
+    from . import simcache
+
+    options = dict(
+        name=name, filename=filename, with_plain=with_plain,
+        flush_policy=flush_policy, keep_flushed=keep_flushed,
+        coalesce=coalesce, fold=fold,
+    )
+    key = simcache.cache_key(source, options)
+    hit = simcache.load(key)
+    if hit is not None:
+        simulator, (n_tests, n_folds) = hit
+        return CompilationResult(
+            simulator=simulator,
+            n_dynamic_result_tests=n_tests,
+            n_constant_folds=n_folds,
+            front_end=lambda: _run_front_end(source, filename, fold)[:3],
+        )
+    result = compile_source(source, **options)
+    simcache.store(key, result.simulator,
+                   (result.n_dynamic_result_tests, result.n_constant_folds))
+    return result

@@ -15,7 +15,7 @@ File layout (header integers little-endian)::
 
     offset  size  field
     0       8     magic  b"FACSNAP\\x01"
-    8       4     format version (currently 1)
+    8       4     format version (currently 2)
     12      4     kind (1 = facile ActionCache, 2 = fastsim memo)
     16      32    content-address fingerprint (sha-256 digest)
     48      8     meta length (bytes, before padding)
@@ -60,20 +60,20 @@ from typing import Any
 
 from .runtime import (
     ENDMARK,
-    ENTRY_OVERHEAD,
     PACKED_JUMP_BYTES,
     PACKED_SLOT_BYTES,
     PACKED_TABLE_OVERHEAD,
     POOL_SLOT_BYTES,
     DICT_TAG,
+    ActionCache,
     CacheEntry,
     EndRecord,
     PackedChain,
-    value_bytes,
 )
 
 MAGIC = b"FACSNAP\x01"
-FORMAT_VERSION = 1
+#: v2: action-cache snapshots store the entries' summed key bytes.
+FORMAT_VERSION = 2
 KIND_ACTION_CACHE = 1
 KIND_FASTSIM_MEMO = 2
 
@@ -522,9 +522,20 @@ def save_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
         if entry.complete and entry.packed is None:
             cache.pack_entry(entry)
     entries = [e for e in cache.entries.values() if e.packed is not None]
+    # The saved entries' accounted key bytes (value_bytes(key) +
+    # ENTRY_OVERHEAD each), so load need not walk every key.  Taken from
+    # the exact accounting rather than a walk: bytes_current is every
+    # entry's bytes plus the pool's, and only packed entries are saved.
+    unsaved = sum(cache.entry_bytes(e) for e in cache.entries.values()
+                  if e.packed is None)
+    key_bytes = (cache.stats.bytes_current - cache.pool.bytes_live - unsaved
+                 - sum(e.packed.local_bytes for e in entries))
+    if key_bytes < 0:
+        raise SnapshotError("byte accounting out of balance")
     meta = bytearray()
     streams = bytearray()
     _encode_pool(meta, cache.pool)
+    meta += struct.pack("<Q", key_bytes)
     _w_u(meta, len(entries))
     # All keys as one bulk blob: the marshal fast path decodes the
     # whole key set at C speed instead of per-element in Python.
@@ -572,6 +583,7 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
         return info
     try:
         pool_values, pool_refs, pool_costs = _decode_pool_lists(r)
+        (key_bytes,) = struct.unpack("<Q", r.raw(8))
         n_entries = r.u()
         keys = r.value()
         if len(keys) != n_entries:
@@ -622,7 +634,6 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
     # Install phase: plain assignments only, cannot fail halfway.
     _install_pool(cache.pool, pool_values, pool_refs, pool_costs)
     stats = cache.stats
-    total = 0
     shared = 0
     for key, chain in built:
         entry = CacheEntry(key, cache.generation)
@@ -630,12 +641,11 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
         entry.complete = True
         entry.stamp = cache.gen
         cache.entries[key] = entry
-        total += value_bytes(key) + ENTRY_OVERHEAD + chain.local_bytes
         shared += chain.local_bytes
     # Loaded bytes enter bytes_current (they are resident cache state
     # and recount_bytes must reconcile) but not bytes_cumulative, which
     # counts recording volume — nothing was recorded.
-    stats.bytes_current += total + cache.pool.bytes_live
+    stats.bytes_current += key_bytes + shared + cache.pool.bytes_live
     stats.bytes_shared += shared
     stats.snapshot_entries += len(built)
     cache.snapshots.append(handle)
@@ -793,13 +803,28 @@ class WarmStart:
     save_path: str | None
     load_info: SnapshotInfo | None = None
     save_info: SnapshotInfo | None = field(default=None)
+    #: The action cache's mutation count right after a hit loaded from
+    #: ``save_path``; None when the save must always write.
+    loaded_mark: int | None = None
 
     def finish(self) -> SnapshotInfo | None:
-        """Save the (possibly grown) cache after the run.  Save
-        failures are reported, never raised — the simulation results in
-        hand are already correct."""
+        """Save the (possibly grown) cache after the run, unless it is
+        still exactly what was loaded from the save path: that file
+        already holds it, so the save is skipped (reason
+        ``"unchanged"``, ``file_bytes`` 0).  Save failures are
+        reported, never raised — the simulation results in hand are
+        already correct."""
         if self.save_path is None:
             return None
+        if (self.loaded_mark is not None
+                and self.target.cache.mutations == self.loaded_mark):
+            info = SnapshotInfo(
+                path=self.save_path, hit=True, reason="unchanged",
+                entries=len(self.target.cache.entries),
+            )
+            self.target.snapshot_save = info
+            self.save_info = info
+            return info
         try:
             info = self.target.save_snapshot(self.save_path, self.fingerprint)
         except (OSError, SnapshotError) as exc:
@@ -830,4 +855,8 @@ def warm_start(
     ws = WarmStart(target=target, fingerprint=fingerprint, save_path=save_path)
     if load_path is not None:
         ws.load_info = target.load_snapshot(load_path, fingerprint)
+        cache = getattr(target, "cache", None)
+        if (ws.load_info.hit and str(load_path) == str(save_path)
+                and isinstance(cache, ActionCache)):
+            ws.loaded_mark = cache.mutations
     return ws

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_source
+from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_cached
 from .facile_src import functional_sim_source
 from .funcsim import FunctionalSim
 from .program import Program
@@ -18,7 +18,7 @@ from .program import Program
 @lru_cache(maxsize=None)
 def compiled_functional_sim() -> CompilationResult:
     """Compile the Facile functional simulator once per process."""
-    return compile_source(functional_sim_source(), name="sparclite-functional")
+    return compile_cached(functional_sim_source(), name="sparclite-functional")
 
 
 @dataclass

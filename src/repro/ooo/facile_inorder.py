@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_source
+from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_cached
 from ..isa import sparclite as S
 from ..isa.facile_src import isa_declarations
 from ..isa.program import Program
@@ -154,7 +154,7 @@ def inorder_sim_source(config: C.MachineConfig | None = None) -> str:
 @lru_cache(maxsize=4)
 def _compiled(config_key: tuple) -> CompilationResult:
     config = C.MachineConfig(*config_key)
-    return compile_source(
+    return compile_cached(
         inorder_sim_source(config), name="sparclite-inorder", flush_policy="live"
     )
 

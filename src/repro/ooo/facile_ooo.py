@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_source
+from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_cached
 from ..isa.facile_src import isa_declarations
 from ..isa.program import Program
 from . import common as C
@@ -272,7 +272,7 @@ def _compiled_for(config_key: tuple) -> CompilationResult:
     config = C.MachineConfig(*config_key[:9])
     flush_policy = config_key[9]
     coalesce = config_key[10]
-    return compile_source(
+    return compile_cached(
         ooo_sim_source(config),
         name="sparclite-ooo",
         flush_policy=flush_policy,

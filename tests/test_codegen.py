@@ -5,7 +5,7 @@ interaction pattern (§2.2)."""
 import pytest
 
 from repro.facile import FastForwardEngine, PlainEngine, compile_source
-from repro.facile.codegen import idiv, imod
+from repro.facile.builtins import idiv, imod
 
 HEADER = "val init = 0;\n"
 

@@ -311,14 +311,16 @@ def test_no_exception_escapes_from_garbage(tmp_path, snapshot_blob):
     caught by the decode phase, not escape to the caller."""
     import hashlib
     import struct
-    from repro.facile.snapshot import MAGIC, _BOM, _HEADER, KIND_ACTION_CACHE
+    from repro.facile.snapshot import (
+        FORMAT_VERSION, KIND_ACTION_CACHE, MAGIC, _BOM, _HEADER,
+    )
 
     path, program = snapshot_blob
     engine, fp = _functional_engine_with_snapshot(tmp_path, program)
     meta = b"\xff" * 64  # nonsense varints
     payload = meta + b"\0" * ((-len(meta)) % 8)
     header = _HEADER.pack(
-        MAGIC, 1, KIND_ACTION_CACHE, bytes.fromhex(fp),
+        MAGIC, FORMAT_VERSION, KIND_ACTION_CACHE, bytes.fromhex(fp),
         len(meta), 0, hashlib.sha256(payload).digest(), _BOM,
     )
     bad = tmp_path / "garbage.facsnap"
@@ -375,7 +377,8 @@ def test_fastsim_fingerprint_separates_configs():
 
 def test_cli_warm_start_smoke(tmp_path, capsys):
     """The CI smoke contract: second --cache-dir run reports a snapshot
-    hit and identical cycles."""
+    hit, leaves the unchanged snapshot unwritten, and has identical
+    cycles."""
     from repro.cli import main
 
     cache_dir = str(tmp_path / "store")
@@ -389,6 +392,7 @@ def test_cli_warm_start_smoke(tmp_path, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert "snapshot: hit" in second
+    assert "snapshot: unchanged — not rewritten" in second
 
     def cycles_line(text):
         return next(l for l in text.splitlines() if l.startswith("cycles"))
@@ -407,3 +411,121 @@ def test_cache_summary_reports_shared_split(tmp_path):
     assert "mmap-shared" in text
     assert "snapshot:" in text
     assert "rejected" in text
+
+
+# ---------------------------------------------------------------------------
+# No rewrite of an unchanged snapshot; stored key-byte total
+# ---------------------------------------------------------------------------
+
+
+def _stamp(path):
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
+def test_unchanged_warm_run_does_not_rewrite(tmp_path):
+    program = build_cached("compress", 1)
+    snap = tmp_path / "cache.facsnap"
+    cold = run_facile_functional(program, cache_load=str(snap),
+                                 cache_save=str(snap))
+    assert cold.engine.snapshot_save.file_bytes > 0
+    before = _stamp(snap)
+
+    warm = run_facile_functional(program, cache_load=str(snap),
+                                 cache_save=str(snap))
+    assert warm.stats.steps_slow == 0
+    save = warm.engine.snapshot_save
+    assert save.reason == "unchanged" and save.file_bytes == 0
+    assert _stamp(snap) == before
+
+    again = run_facile_functional(program, cache_load=str(snap),
+                                  cache_save=str(snap))
+    assert again.engine.snapshot_load.hit
+    assert again.stats.steps_slow == 0
+    assert (again.retired, again.regs) == (cold.retired, cold.regs)
+
+
+def test_verify_miss_rewrites_the_snapshot(tmp_path):
+    """A different memory latency changes extern results (not the
+    fingerprint): the warm run misses verifies, recovers, and must
+    save the grown cache."""
+    from repro.ooo.common import MachineConfig
+    from repro.uarch.cache import HierarchyConfig
+
+    program = build_cached("compress", 1)
+    store = str(tmp_path)
+    run_facile_ooo(program, cache_dir=store)
+    (snap,) = tmp_path.glob("*.facsnap")
+    before = _stamp(snap)
+    slow = MachineConfig(cache=HierarchyConfig(memory_latency=80))
+    warm = run_facile_ooo(program, slow, cache_dir=store)
+    assert warm.engine.snapshot_load.hit
+    assert warm.engine.stats.steps_recovered > 0
+    save = warm.engine.snapshot_save
+    assert save.reason == "" and save.file_bytes > 0
+    assert _stamp(snap) != before
+
+
+def test_mid_run_eviction_rewrites_the_snapshot(tmp_path):
+    program = build_cached("compress", 1)
+    store = str(tmp_path)
+    run_facile_functional(program, cache_dir=store)
+    warm = run_facile_functional(program, cache_dir=store,
+                                 cache_limit_bytes=64 * 1024,
+                                 cache_evict="generational")
+    assert warm.engine.snapshot_load.hit
+    assert warm.engine.cache.stats.evictions > 0
+    assert warm.engine.snapshot_save.file_bytes > 0
+
+
+def test_distinct_load_and_save_paths_always_write(tmp_path):
+    program = build_cached("compress", 1)
+    a, b = tmp_path / "a.facsnap", tmp_path / "b.facsnap"
+    run_facile_functional(program, cache_save=str(a))
+    warm = run_facile_functional(program, cache_load=str(a),
+                                 cache_save=str(b))
+    assert warm.stats.steps_slow == 0
+    assert warm.engine.snapshot_save.file_bytes == len(a.read_bytes())
+    again = run_facile_functional(program, cache_load=str(b))
+    assert again.engine.snapshot_load.entries == (
+        warm.engine.snapshot_load.entries)
+    assert again.stats.steps_slow == 0
+
+
+def test_stored_key_bytes_match_a_walk(tmp_path):
+    """The saved key-byte total is what walking every key gives (the
+    load-side reconciliation is test_accounting_reconciles_after_load)."""
+    import struct
+
+    from repro.facile.runtime import ENTRY_OVERHEAD, value_bytes
+    from repro.facile.snapshot import _HEADER, _decode_pool_lists, _Reader
+
+    program = build_cached("compress", 1)
+    snap = tmp_path / "cache.facsnap"
+    cold = run_facile_ooo(program, cache_save=str(snap))
+    blob = snap.read_bytes()
+    r = _Reader(memoryview(blob)[_HEADER.size:])
+    _decode_pool_lists(r)
+    (stored,) = struct.unpack("<Q", r.raw(8))
+    walked = sum(value_bytes(k) + ENTRY_OVERHEAD
+                 for k in cold.engine.cache.entries)
+    assert stored == walked
+
+
+def test_previous_format_version_starts_cold(tmp_path):
+    from repro.facile.snapshot import FORMAT_VERSION
+
+    program = build_cached("compress", 1)
+    snap = tmp_path / "cache.facsnap"
+    cold = run_facile_functional(program, cache_save=str(snap))
+    blob = bytearray(snap.read_bytes())
+    blob[8:12] = (FORMAT_VERSION - 1).to_bytes(4, "little")
+    snap.write_bytes(bytes(blob))
+    run = run_facile_functional(program, cache_load=str(snap),
+                                cache_save=str(snap))
+    load = run.engine.snapshot_load
+    assert not load.hit and "version mismatch" in load.reason
+    assert run.stats.steps_slow > 0
+    assert (run.retired, run.regs) == (cold.retired, cold.regs)
+    assert run.engine.snapshot_save.file_bytes > 0  # rewritten current
+
