@@ -14,11 +14,11 @@ compiler".  Until now that guarantee was only implicit in
   placeholder may only flow into ``STORE_SLOT_OBJ``), jump-target
   sanity (forward-only, instruction-aligned), slot/placeholder/local
   index bounds, i64 constant range, and a 64-bit semantics audit that
-  flags *provable* divergence between the C kernel (guarded, wrapping)
+  flags *provable* divergence between the C kernel (guarded i64)
   and :func:`~repro.facile.replay_ir.interpret_body` (unbounded Python
   ints): constant shift amounts outside ``[0, 63]``, constant zero
   divisors, constant counter keys outside the kernel's table.
-* :func:`wrap_census` — which C-guarded / wrapping operations a body
+* :func:`wrap_census` — which C-guarded / overflow-checked operations a body
   uses at all (``repro check`` reports the aggregate per file).
 * :func:`verify_plan` — chain-level checks over a
   :class:`~repro.facile.replay_ir.ChainPlan`: slot-kind validity, data
@@ -101,9 +101,10 @@ _EFFECT = {
 #: Ops where the C kernel guards (E_SHIFT/E_DIV0/E_COUNTER) what
 #: Python computes unbounded — the audit census.
 GUARDED_OPS = (OP_SHL, OP_SHR, OP_IDIV, OP_IMOD, OP_UDIV32, OP_STAT_COUNT)
-#: Ops the C kernel evaluates with wrapping u64 arithmetic where
-#: interpret_body uses unbounded Python ints (agreement holds because
-#: generated bodies keep values in i64; the census makes usage visible).
+#: Ops whose exact result can leave i64.  Where interpret_body keeps
+#: an unbounded Python int, the kernel's add/sub/mul/neg/shl exit with
+#: E_OVERFLOW to Python; UMUL32 and the cc helpers mask to 32 bits
+#: first.  The census makes their use visible.
 WRAPPING_OPS = (OP_ADD, OP_SUB, OP_MUL, OP_NEG, OP_SHL,
                 OP_UMUL32, OP_CC_ADD, OP_CC_SUB)
 
@@ -402,7 +403,7 @@ def verify_body(prog: BodyProgram, *, n_slots: int | None = None,
 
 
 def wrap_census(prog: BodyProgram) -> dict[str, int]:
-    """Count the C-guarded / wrapping operations one body uses."""
+    """Count the C-guarded / overflow-checked operations one body uses."""
     out: dict[str, int] = {}
     code = prog.code
     interesting = set(GUARDED_OPS) | set(WRAPPING_OPS)
